@@ -88,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for multi-allocator workloads (default: 1, serial)",
+        help=(
+            "worker processes for the allocators of a workload and the ranks "
+            "of a job (default: 1, serial)"
+        ),
     )
     run_parser.add_argument(
         "--cache-dir",
@@ -139,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="PATH",
         help="write results to PATH (.json or .csv); repeatable",
-    )
-    sweep_parser.add_argument(
-        "--with-throughput",
-        action="store_true",
-        help="deprecated no-op: throughput columns are part of the default rows now",
     )
     sweep_parser.add_argument(
         "--timing",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.obs.tracer import span as _obs_span
 from repro.workloads.model_config import ModelConfig
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismConfig
@@ -33,10 +34,11 @@ _EXECUTION: dict = {"jobs": 1, "cache_dir": None}
 def configure_execution(*, jobs: int | None = None, cache_dir: str | None = None) -> None:
     """Set how experiment workloads execute, process-wide.
 
-    ``jobs`` > 1 makes :func:`repro.simulator.runner.run_workload_suite` fan
-    allocators out over worker processes; ``cache_dir`` installs the
-    persistent on-disk trace/plan cache of :mod:`repro.sweep` so repeated
-    experiment runs skip trace generation and plan synthesis.  Passing None
+    ``jobs`` > 1 makes :func:`repro.simulator.runner.run_workload_suite` and
+    :func:`~repro.simulator.runner.run_job` fan allocators and ranks out over
+    worker processes; ``cache_dir`` installs the persistent on-disk
+    trace/plan cache of :mod:`repro.sweep` so repeated experiment runs skip
+    trace generation and plan synthesis.  Passing None
     for ``cache_dir`` removes an installed cache; passing None for ``jobs``
     resets to serial.  The CLI's ``--jobs`` / ``--cache-dir`` flags call this.
     """
@@ -134,7 +136,9 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    return get_experiment(experiment_id)(**kwargs)
+    experiment = get_experiment(experiment_id)
+    with _obs_span("experiment.run", experiment=experiment_id):
+        return experiment(**kwargs)
 
 
 # ---------------------------------------------------------------------- #

@@ -15,13 +15,18 @@ This module implements that recipe once, including STAlloc's extra offline
 step (profile + plan synthesis before the replay), plus a small trace cache so
 sweeping five allocators over one configuration only generates the trace once.
 
-The pure per-run path is :func:`run_workload`; :func:`run_workload_suite` is
-the orchestrator on top of it and can fan the allocators out over worker
-processes (``jobs > 1``).  When a persistent cache directory is installed (see
-:func:`set_persistent_cache`, wired up by ``repro.experiments.common`` and the
-CLI), traces and synthesized STAlloc plans are additionally memoised on disk
-through :class:`repro.sweep.cache.SweepCache`, so repeated runs -- and worker
-processes, which cannot see the parent's in-memory cache -- skip regeneration.
+The pure per-run path is :func:`run_workload`; :func:`run_workload_suite` (one
+configuration, several allocators) and :func:`run_job` (one allocator, every
+rank of a job) orchestrate it.  Every fan-out over worker processes -- the
+allocators of a suite, the ranks of a job, the points of a sweep
+(:mod:`repro.sweep.engine`) -- goes through :func:`map_in_workers`: one
+process pool, one way of handing workers the persistent cache, and one
+telemetry protocol, so worker spans and metrics reach the parent's
+``--obs-out`` recording from every pool.  When a persistent cache directory is
+installed (see :func:`set_persistent_cache`, wired up by
+``repro.experiments.common`` and the CLI), traces and synthesized STAlloc
+plans are additionally memoised on disk through
+:class:`repro.sweep.cache.SweepCache`, so repeated runs skip regeneration.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from repro.allocators.registry import available_allocators, create_allocator
 from repro.core.stalloc import STAlloc, STAllocConfig
 from repro.gpu.device import Device, GIB
 from repro.gpu.errors import OutOfMemoryError
+from repro.obs.tracer import absorb as _obs_absorb
 from repro.obs.tracer import span as _obs_span
+from repro.obs.tracer import worker_observation, worker_spec
 from repro.simulator.metrics import MemoryMetrics
 from repro.simulator.replay import ReplayResult, replay_trace
 from repro.simulator.throughput import GPU_SPECS, ThroughputEstimate, ThroughputModel
@@ -474,18 +481,41 @@ def run_workload(
         )
 
 
-def _suite_worker(payload: tuple) -> tuple[str, WorkloadRun]:
-    """Process-pool entry point: run one allocator of a suite in a worker.
+def map_in_workers(fn, payloads, *, jobs: int):
+    """Yield ``fn(**payload)`` for every payload, in payload order.
 
-    The worker re-installs the parent's persistent cache (worker processes do
-    not share the parent's module state when spawned) and resolves the trace
-    through it; without a cache the parent ships the trace in the payload, so
-    the trace is generated at most once per suite on every start method.
+    With ``jobs > 1`` and more than one payload the calls fan out over a
+    process pool of ``min(jobs, len(payloads))`` workers; otherwise they run
+    in-process, one after another.  Each worker re-installs the parent's
+    persistent cache directory and runs its call under
+    :func:`~repro.obs.tracer.worker_observation`; the parent absorbs every
+    worker's telemetry as its result arrives, so worker spans nest under the
+    span the caller has open while it iterates.  ``fn`` and the payloads
+    cross the process boundary by pickling: pass a module-level function and
+    plain data.  Exhaust the iterator (``zip(..., strict=True)`` does) so the
+    pool shuts down as soon as the last result is in.
     """
-    config, name, kwargs, cache_dir, trace = payload
-    if cache_dir is not None and persistent_cache_dir() != cache_dir:
+    payloads = list(payloads)
+    if jobs <= 1 or len(payloads) <= 1:
+        for payload in payloads:
+            yield fn(**payload)
+        return
+    context = (persistent_cache_dir(), worker_spec())
+    tasks = [(fn, payload, *context) for payload in payloads]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        for result, delta in pool.map(_call_in_worker, tasks):
+            _obs_absorb(delta)
+            yield result
+
+
+def _call_in_worker(task: tuple):
+    """Worker side of :func:`map_in_workers`: one call and its telemetry."""
+    fn, payload, cache_dir, obs_spec = task
+    if persistent_cache_dir() != cache_dir:
         set_persistent_cache(cache_dir)
-    return name, run_workload(config, name, trace=trace, **kwargs)
+    with worker_observation(obs_spec) as observation:
+        result = fn(**payload)
+    return result, observation.delta
 
 
 def run_workload_suite(
@@ -526,21 +556,14 @@ def run_workload_suite(
         with_throughput=with_throughput,
         timing=timing,
     )
-    if jobs > 1 and len(allocator_names) > 1:
-        # Generate the trace once up front.  With a persistent cache the
-        # workers read it back from disk; without one it is shipped to them
-        # in the payload (correct on every multiprocessing start method).
-        trace = generate_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-        shipped = None if persistent_cache_dir() is not None else trace
-        payloads = [
-            (config, name, kwargs, persistent_cache_dir(), shipped)
-            for name in allocator_names
-        ]
-        workers = min(jobs, len(allocator_names))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_suite_worker, payloads))
+    # The trace is generated once, here; workers receive it in the payload.
     trace = generate_trace(config, seed=seed, scale=scale, rank=rank, ep_rank=ep_rank)
-    return {name: run_workload(config, name, trace=trace, **kwargs) for name in allocator_names}
+    payloads = [
+        dict(kwargs, config=config, allocator_name=name, trace=trace)
+        for name in allocator_names
+    ]
+    runs = map_in_workers(run_workload, payloads, jobs=jobs)
+    return dict(zip(allocator_names, runs, strict=True))
 
 
 # ---------------------------------------------------------------------- #
@@ -954,14 +977,6 @@ class JobRun:
         return data
 
 
-def _job_rank_worker(payload: tuple):
-    """Process-pool entry point: replay one representative rank of a job."""
-    config, allocator_name, rank, kwargs, cache_dir, trace = payload
-    if cache_dir is not None and persistent_cache_dir() != cache_dir:
-        set_persistent_cache(cache_dir)
-    return rank, run_workload(config, allocator_name, rank=rank, trace=trace, **kwargs)
-
-
 def run_job(
     config: TrainingConfig,
     allocator_name: str,
@@ -985,9 +1000,10 @@ def run_job(
     Ranks are deduplicated into memory-equivalence classes first (see
     :func:`resolve_job_ranks`); each class representative is generated and
     replayed once -- independently cached by the content-addressed trace/plan
-    cache -- and ``jobs`` > 1 fans the representatives out over the existing
-    worker-pool machinery.  ``traces`` optionally supplies pre-generated
-    traces by rank (the sweep engine ships shared traces to workers this way).
+    cache -- and ``jobs`` > 1 fans the representatives out over
+    :func:`map_in_workers` (unless an explicit ``cache`` instance is given).
+    ``traces`` optionally supplies pre-generated traces by rank (the sweep
+    engine ships shared traces to workers this way).
 
     ``timing`` selects the throughput backend: ``"timeline"`` (the default)
     runs the discrete-event simulator over every (pp, ep) rank's schedule --
@@ -1044,33 +1060,22 @@ def run_job(
             stalloc_overrides=stalloc_overrides,
         )
         traces = traces or {}
-        runs: dict = {}
-        if jobs > 1 and len(representatives) > 1 and cache is None:
-            payloads = [
-                (
-                    config,
-                    allocator_name,
-                    rank,
-                    dict(base_kwargs, device_capacity_gib=capacity),
-                    persistent_cache_dir(),
-                    traces.get(rank),
-                )
-                for rank, capacity in zip(representatives, capacities)
-            ]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(representatives))) as pool:
-                runs.update(dict(pool.map(_job_rank_worker, payloads)))
-        else:
-            for rank, capacity in zip(representatives, capacities):
-                runs[rank] = run_workload(
-                    config,
-                    allocator_name,
-                    rank=rank,
-                    device_capacity_gib=capacity,
-                    trace=traces.get(rank),
-                    cache=cache,
-                    **base_kwargs,
-                )
-        class_runs = [runs[rank] for rank in representatives]
+        payloads = [
+            dict(
+                base_kwargs,
+                config=config,
+                allocator_name=allocator_name,
+                rank=rank,
+                device_capacity_gib=capacity,
+                trace=traces.get(rank),
+                cache=cache,
+            )
+            for rank, capacity in zip(representatives, capacities)
+        ]
+        # An explicit cache instance stays in this process, where its hit/miss
+        # statistics accumulate for the caller.
+        workers = jobs if cache is None else 1
+        class_runs = list(map_in_workers(run_workload, payloads, jobs=workers))
         # Record the concrete budget every class ran against (the device
         # default when no explicit budget applied), so binding-by-utilization
         # is well-defined whenever any heterogeneity is present.

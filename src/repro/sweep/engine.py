@@ -12,21 +12,25 @@ the analytical throughput estimates (``tflops_per_gpu``,
   the persistent result cache (checked in the parent, so a fully-warm sweep
   never even spawns workers), and cache-missing points still reuse on-disk
   per-rank traces and synthesized plans;
-* **parallel** -- cache-missing points fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs`` workers;
-  ``jobs=1`` is the serial in-process fallback producing identical results.
+* **parallel** -- cache-missing points fan out over ``jobs`` worker
+  processes through :func:`repro.simulator.runner.map_in_workers`, which also
+  brings every worker's spans and metrics back to the parent; ``jobs=1`` is
+  the serial in-process fallback producing identical results.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from repro.obs.tracer import absorb as _obs_absorb
 from repro.obs.tracer import counter as _obs_counter
 from repro.obs.tracer import span as _obs_span
-from repro.obs.tracer import worker_observation, worker_spec
-from repro.simulator.runner import NO_CACHE, generate_trace, resolve_job_ranks, run_job
+from repro.simulator.runner import (
+    NO_CACHE,
+    generate_trace,
+    map_in_workers,
+    resolve_job_ranks,
+    run_job,
+)
 from repro.sweep.cache import SweepCache
 from repro.sweep.results import SweepResult
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -246,21 +250,15 @@ def execute_point(
         return row
 
 
-def _execute_point_job(payload: tuple) -> tuple[dict, dict, dict | None]:
-    """ProcessPoolExecutor.map adapter: (row, worker cache stats, obs delta)."""
-    point, cache_dir, reuse_results, traces, cache_max_bytes, obs_spec = payload
+def _execute_point_job(
+    point: SweepPoint, cache_dir: str | None, traces: dict | None, cache_max_bytes: int | None
+) -> tuple[dict, dict]:
+    """Worker adapter for :func:`execute_point`: (row, worker cache stats)."""
     cache = (
         SweepCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir is not None else None
     )
-    with worker_observation(obs_spec) as observation:
-        row = execute_point(
-            point,
-            cache_dir,
-            reuse_results=reuse_results,
-            cache=cache,
-            traces=traces,
-        )
-    return row, cache.stats.as_dict() if cache is not None else {}, observation.delta
+    row = execute_point(point, cache_dir, reuse_results=False, cache=cache, traces=traces)
+    return row, cache.stats.as_dict() if cache is not None else {}
 
 
 def _prewarm_shared_traces(
@@ -310,6 +308,14 @@ def _prewarm_shared_traces(
     return {
         index: shipped_by_key[key] for index, key in keys.items() if key in shipped_by_key
     }
+
+
+def _sum_stats(left: dict, right: dict) -> dict:
+    """Add two cache-stats dicts key by key."""
+    total = dict(left)
+    for key, value in right.items():
+        total[key] = total.get(key, 0) + value
+    return total
 
 
 def _hit_rate_label(stats: dict) -> str:
@@ -377,47 +383,35 @@ def run_sweep(
         else:
             pending = list(points)
 
-        worker_stats: list[dict] = []
-        running_stats = cache.stats.as_dict() if cache is not None else {}
-        if pending:
-            if jobs > 1 and len(pending) > 1:
-                shipped = _prewarm_shared_traces(pending, cache)
-                obs_spec = worker_spec()
-                payloads = [
-                    (point, cache_dir, False, shipped.get(point.index), cache_max_bytes, obs_spec)
-                    for point in pending
-                ]
-                with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                    for point, (row, stats, delta) in zip(
-                        pending, pool.map(_execute_point_job, payloads)
-                    ):
-                        rows[point.index] = row
-                        worker_stats.append(stats)
-                        _obs_absorb(delta)
-                        if progress is not None:
-                            for key, value in stats.items():
-                                running_stats[key] = running_stats.get(key, 0) + value
-                            info = (
-                                {"cache": _hit_rate_label(running_stats)}
-                                if cache is not None
-                                else {}
-                            )
-                            progress.update(**info)
-            else:
-                for point in pending:
-                    rows[point.index] = execute_point(
-                        point,
-                        cache_dir,
-                        reuse_results=False,
-                        cache=cache,
-                    )
-                    if progress is not None:
-                        info = (
-                            {"cache": _hit_rate_label(cache.stats.as_dict())}
-                            if cache is not None
-                            else {}
-                        )
-                        progress.update(**info)
+        parent_stats = cache.stats.as_dict if cache is not None else dict
+        worker_stats: dict = {}
+        if jobs > 1 and len(pending) > 1:
+            shipped = _prewarm_shared_traces(pending, cache)
+            payloads = [
+                dict(
+                    point=point,
+                    cache_dir=cache_dir,
+                    traces=shipped.get(point.index),
+                    cache_max_bytes=cache_max_bytes,
+                )
+                for point in pending
+            ]
+            finished = map_in_workers(_execute_point_job, payloads, jobs=jobs)
+        else:
+            finished = (
+                (execute_point(point, cache_dir, reuse_results=False, cache=cache), {})
+                for point in pending
+            )
+        for point, (row, stats) in zip(pending, finished, strict=True):
+            rows[point.index] = row
+            worker_stats = _sum_stats(worker_stats, stats)
+            if progress is not None:
+                info = (
+                    {"cache": _hit_rate_label(_sum_stats(parent_stats(), worker_stats))}
+                    if cache is not None
+                    else {}
+                )
+                progress.update(**info)
 
         if cache is not None:
             # Workers enforce the cap after their own stores, but a store in
@@ -426,10 +420,7 @@ def run_sweep(
             # ends at or below the cap.
             cache.enforce_cap()
 
-        cache_stats = cache.stats.as_dict() if cache is not None else {}
-        for stats in worker_stats:
-            for key, value in stats.items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
+        cache_stats = _sum_stats(parent_stats(), worker_stats)
         cache_stats["cached_rows"] = sum(1 for row in rows.values() if row.get("cached"))
         elapsed = time.perf_counter() - started
         if progress is not None:

@@ -192,45 +192,31 @@ class RankTimeline:
     def __init__(
         self,
         rank: tuple,
-        events: list[TimelineEvent] | None = None,
         compute_seconds: float = 0.0,
         comm_seconds: float = 0.0,
         stall_seconds: float = 0.0,
         finish_seconds: float = 0.0,
         *,
-        records: list[tuple] | None = None,
+        records: list[tuple],
     ):
-        if events is not None and records is not None:
-            raise ValueError("pass either events or records, not both")
         self.rank = rank
         self.compute_seconds = compute_seconds
         self.comm_seconds = comm_seconds
         self.stall_seconds = stall_seconds
         self.finish_seconds = finish_seconds
-        self._events: list[TimelineEvent] | None = events
-        self._records: list[tuple] | None = records
-        if self._events is None and self._records is None:
-            self._events = []
+        self._records = records
+        self._events: list[TimelineEvent] | None = None
         self._columns: TimelineColumns | None = None
 
     @property
     def num_events(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._events)
+        return len(self._records)
 
     def iter_records(self):
         """Yield ``(kind_name, start, duration, microbatch, chunk, layer)``."""
-        if self._records is not None:
-            names = KIND_NAMES
-            for kind, start, duration, microbatch, chunk, layer in self._records:
-                yield names[kind], start, duration, microbatch, chunk, layer
-        else:
-            for event in self._events:
-                yield (
-                    event.kind, event.start, event.duration,
-                    event.microbatch, event.chunk, event.layer,
-                )
+        names = KIND_NAMES
+        for kind, start, duration, microbatch, chunk, layer in self._records:
+            yield names[kind], start, duration, microbatch, chunk, layer
 
     @property
     def events(self) -> list[TimelineEvent]:
@@ -256,22 +242,13 @@ class RankTimeline:
     def columns(self) -> TimelineColumns:
         """Numpy structure-of-arrays view (built lazily, memoised)."""
         if self._columns is None:
-            if self._records is not None:
-                rows = self._records
-                kinds = [r[0] for r in rows]
-                starts = [r[1] for r in rows]
-                durations = [r[2] for r in rows]
-                microbatches = [r[3] for r in rows]
-                chunks = [r[4] for r in rows]
-                layers = [r[5] for r in rows]
-            else:
-                code_of = {name: code for code, name in enumerate(KIND_NAMES)}
-                kinds = [code_of[e.kind] for e in self._events]
-                starts = [e.start for e in self._events]
-                durations = [e.duration for e in self._events]
-                microbatches = [e.microbatch for e in self._events]
-                chunks = [e.chunk for e in self._events]
-                layers = [e.layer for e in self._events]
+            rows = self._records
+            kinds = [r[0] for r in rows]
+            starts = [r[1] for r in rows]
+            durations = [r[2] for r in rows]
+            microbatches = [r[3] for r in rows]
+            chunks = [r[4] for r in rows]
+            layers = [r[5] for r in rows]
             self._columns = TimelineColumns(
                 kind=np.asarray(kinds, dtype=np.int64),
                 start=np.asarray(starts, dtype=np.float64),

@@ -11,12 +11,14 @@ import io
 import json
 import pickle
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from repro.experiments.common import configure_execution
 from repro.obs import (
     OBS_FORMAT_VERSION,
     BufferSink,
@@ -48,6 +50,7 @@ from repro.obs.tracer import (
 from repro.simulator import runner
 from repro.sweep import SweepCache, SweepPointError, SweepSpec, run_sweep
 from repro.sweep.engine import execute_point
+from repro.timeline.simulator import clear_timeline_memo
 from repro.workloads.tracegen import config_fingerprint
 
 
@@ -589,6 +592,110 @@ class TestSweepIntegration:
         shutdown()
         stat = summarize_file(path).metrics.histograms["replay.events_per_sec"]
         assert stat.count > 0 and stat.max > 0
+
+
+# ---------------------------------------------------------------------- #
+# Every process pool ships its workers' telemetry back
+# ---------------------------------------------------------------------- #
+def _fresh_process_state():
+    """Serial execution, no persistent cache, empty in-memory memos.
+
+    Forked workers inherit the parent's memos, so a run that follows another
+    in the same process would skip work (and its spans) the first one did.
+    """
+    configure_execution()
+    runner.clear_trace_cache()
+    clear_timeline_memo()
+
+
+def _recorded(run, path):
+    """(span-name counts, counters, histogram sample counts) of one run."""
+    _fresh_process_state()
+    obs.configure(ndjson_path=path)
+    try:
+        run()
+    finally:
+        shutdown()
+        _fresh_process_state()
+    events = load_events(path)
+    metrics = summarize_events(events).metrics
+    names = Counter(event["name"] for event in events if event["type"] == "span")
+    histograms = {name: stat.count for name, stat in metrics.histograms.items()}
+    return names, metrics.counters, histograms
+
+
+def _serial_and_parallel(tmp_path, make_run, with_cache):
+    recordings = []
+    for jobs in (1, 2):
+        cache_dir = str(tmp_path / f"cache-{jobs}") if with_cache else None
+        path = tmp_path / f"obs-{jobs}.ndjson"
+        recordings.append(_recorded(make_run(jobs, cache_dir), path))
+    return recordings
+
+
+class TestPoolTelemetryParity:
+    """jobs=2 records the same spans and metrics as jobs=1, for every pool."""
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "fresh-cache"])
+    def test_run_experiment_cli(self, tmp_path, capsys, with_cache):
+        def make_run(jobs, cache_dir):
+            argv = ["run", "fig8a", "--quick", "--jobs", str(jobs)]
+            if cache_dir is not None:
+                argv += ["--cache-dir", cache_dir]
+            return lambda: cli_main(argv)
+
+        serial, parallel = _serial_and_parallel(tmp_path, make_run, with_cache)
+        capsys.readouterr()
+        assert parallel == serial
+        names = serial[0]
+        assert names["experiment.run"] == 1
+        assert names["workload.run"] == names["replay.trace"] > 0
+        assert serial[2]["replay.events_per_sec"] == names["replay.trace"]
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "fresh-cache"])
+    def test_run_job_all_ranks(self, tmp_path, with_cache):
+        config = _tiny_spec().expand()[0].config
+
+        def make_run(jobs, cache_dir):
+            def run():
+                runner.set_persistent_cache(cache_dir)
+                runner.run_job(config, "stalloc", ranks="all", jobs=jobs)
+            return run
+
+        serial, parallel = _serial_and_parallel(tmp_path, make_run, with_cache)
+        assert parallel == serial
+        assert serial[0]["workload.run"] == len(runner.resolve_job_ranks(config, "all")) > 1
+
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "fresh-cache"])
+    def test_run_sweep(self, tmp_path, with_cache):
+        spec = _tiny_spec()
+
+        def make_run(jobs, cache_dir):
+            return lambda: run_sweep(spec, jobs=jobs, cache_dir=cache_dir)
+
+        serial, parallel = _serial_and_parallel(tmp_path, make_run, with_cache)
+        assert parallel[0] == serial[0]
+        assert parallel[2] == serial[2]
+        # With a cache the parallel sweep generates each trace that several
+        # points share once in the parent, and workers read it back from
+        # disk; the serial sweep serves those repeats from memory.  Those
+        # extra disk reads are real work, so cache.hit may exceed the serial
+        # count by at most one read per replayed rank; every other counter
+        # matches.
+        extra_hits = parallel[1].pop("cache.hit", 0) - serial[1].pop("cache.hit", 0)
+        assert parallel[1] == serial[1]
+        assert 0 <= extra_hits <= (serial[0]["workload.run"] if with_cache else 0)
+
+    def test_run_root_span_covers_the_command(self, tmp_path, capsys):
+        path = tmp_path / "obs.ndjson"
+        started = time.perf_counter()
+        assert cli_main(["run", "fig8a", "--quick", "--jobs", "2", "--obs-out", str(path)]) == 0
+        elapsed = time.perf_counter() - started
+        capsys.readouterr()
+        summary = summarize_file(path)
+        assert all(stat.path[0] == "experiment.run" for stat in summary.tree)
+        assert summary.stat("experiment.run").count == 1
+        assert summary.wall_seconds == pytest.approx(elapsed, rel=0.05, abs=0.05)
 
 
 # ---------------------------------------------------------------------- #
