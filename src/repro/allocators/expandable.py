@@ -94,8 +94,10 @@ class ExpandableSegmentsAllocator(Allocator):
     def arena(self, pool: str) -> _Arena:
         """Return (creating on first use) the arena backing ``pool``."""
         if pool not in self._arenas:
-            # Reserve an effectively unbounded virtual range for the arena.
-            vrange = self.vmm.reserve_range(4 * self.device.capacity)
+            # Reserve an effectively unbounded virtual range for the arena:
+            # the tail never rewinds, and an allocation that reclaims under
+            # pressure can push it forward by about twice its size.
+            vrange = self.vmm.reserve_range(self.device.capacity << 20)
             self._arenas[pool] = _Arena(pool=pool, virtual_start=vrange.start)
         return self._arenas[pool]
 
@@ -117,7 +119,9 @@ class ExpandableSegmentsAllocator(Allocator):
                 # request size so the new tail run is contiguous.
                 self._grow(arena, rounded, count_tail_free=False)
                 carved = arena.free.carve(rounded, policy="best_fit")
-            if carved is None:  # pragma: no cover - growth guarantees a fit
+            if carved is None:
+                # Reclaim may have unmapped the granules these grows mapped,
+                # leaving no contiguous fit although the device is not full.
                 raise OutOfMemoryError(rounded, self.device.usable_capacity, self.device.in_use)
         else:
             self.stats.cache_hits += 1
@@ -125,35 +129,47 @@ class ExpandableSegmentsAllocator(Allocator):
         return Placement(pool=f"es:{pool}", address=carved.start, size=rounded)
 
     def _grow(self, arena: _Arena, rounded: int, *, count_tail_free: bool = True) -> None:
-        """Map enough granules at the arena tail to fit a ``rounded`` request."""
+        """Map enough granules at the arena tail to fit a ``rounded`` request.
+
+        Every granule is its own physical handle and ``map`` call (the
+        overhead model charges per driver op), but the arena's interval sets
+        take each contiguous run in one update.  The pending run is added
+        before reclaiming, so reclaim sees every mapped granule, and on the
+        way out, so an OOM partway leaves the sets in step with the VMM.
+        """
+        granule = self.config.granule
         # Free space already touching the tail still counts toward the request.
         tail_free = 0
-        if count_tail_free:
-            for interval in arena.free:
-                if interval.end == arena.tail:
-                    tail_free = interval.length
-        needed = align_up(max(rounded - tail_free, 0), self.config.granule)
-        granules = needed // self.config.granule
-        for _ in range(granules):
-            handle = self._create_handle_with_reclaim()
-            offset = arena.tail
-            self.vmm.map(arena.virtual_start + offset, handle)
-            self.stats.vmm_ops += 1
-            arena.handles[offset] = handle
-            arena.mapped.add(offset, offset + self.config.granule)
-            arena.free.add(offset, offset + self.config.granule)
-            arena.tail += self.config.granule
-
-    def _create_handle_with_reclaim(self) -> PhysicalHandle:
-        """Create a physical granule, unmapping idle granules under pressure."""
+        last = arena.free.last
+        if count_tail_free and last is not None and last.end == arena.tail:
+            tail_free = last.length
+        needed = align_up(max(rounded - tail_free, 0), granule)
+        run_start = arena.tail
         try:
-            handle = self.vmm.create_handle()
-        except OutOfMemoryError:
-            if self._reclaim_free_granules() == 0:
-                raise
-            handle = self.vmm.create_handle()
-        self.stats.vmm_ops += 1
-        return handle
+            for _ in range(needed // granule):
+                try:
+                    handle = self.vmm.create_handle()
+                except OutOfMemoryError:
+                    # Unmap idle granules under pressure, then retry once.
+                    run_start = self._add_run(arena, run_start)
+                    if self._reclaim_free_granules() == 0:
+                        raise
+                    handle = self.vmm.create_handle()
+                offset = arena.tail
+                self.vmm.map(arena.virtual_start + offset, handle)
+                self.stats.vmm_ops += 2
+                arena.handles[offset] = handle
+                arena.tail += granule
+        finally:
+            self._add_run(arena, run_start)
+
+    @staticmethod
+    def _add_run(arena: _Arena, start: int) -> int:
+        """Add the granules mapped since ``start`` to the arena as free space."""
+        if arena.tail > start:
+            arena.mapped.add(start, arena.tail)
+            arena.free.add(start, arena.tail)
+        return arena.tail
 
     def _reclaim_free_granules(self) -> int:
         """Unmap granules that are entirely free and return them to the device.

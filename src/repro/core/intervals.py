@@ -120,6 +120,13 @@ class IntervalSet:
             return None
         return Interval(self._starts[0], self._ends[-1])
 
+    @property
+    def last(self) -> Interval | None:
+        """The highest-addressed member interval."""
+        if not self._starts:
+            return None
+        return Interval(self._starts[-1], self._ends[-1])
+
     def contains(self, start: int, end: int) -> bool:
         """True when the whole of ``[start, end)`` is covered by the set."""
         if end <= start:
@@ -219,19 +226,23 @@ class IntervalSet:
         """Smallest member interval that can hold ``size`` bytes (ties: lowest address)."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        best: Interval | None = None
-        for interval in self:
-            if interval.length >= size and (best is None or interval.length < best.length):
-                best = interval
-        return best
+        best = -1
+        best_length = 0
+        for index, (start, end) in enumerate(zip(self._starts, self._ends)):
+            length = end - start
+            if length >= size and (best < 0 or length < best_length):
+                best, best_length = index, length
+                if length == size:
+                    break  # an exact fit cannot be beaten
+        return None if best < 0 else Interval(self._starts[best], self._ends[best])
 
     def first_fit(self, size: int) -> Interval | None:
         """Lowest-addressed member interval that can hold ``size`` bytes."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        for interval in self:
-            if interval.length >= size:
-                return interval
+        for start, end in zip(self._starts, self._ends):
+            if end - start >= size:
+                return Interval(start, end)
         return None
 
     def carve(self, size: int, *, policy: str = "best_fit") -> Interval | None:

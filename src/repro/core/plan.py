@@ -16,6 +16,7 @@ Allocator consumes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.core.events import (
@@ -113,31 +114,42 @@ class StaticAllocationPlan:
     def validate(self) -> None:
         """Check the fundamental planning constraint: no spatio-temporal overlap.
 
-        Runs an address-ordered sweep so validation is ``O(n log n + k)`` with
-        ``k`` the number of actually-overlapping address pairs, which is what
-        the tests and the synthesizer's self-check use.
+        Sweeps over time, processing frees before allocations at equal times
+        (lifespans are half-open), and keeps the live address ranges sorted.
+        Until a conflict is found the live ranges are pairwise disjoint, so a
+        new decision can only collide with its two address neighbours: the
+        check makes ``O(n log n)`` comparisons (plus the memmoves of list
+        insertion) and at most two ``conflicts_with`` calls per decision.
+        The synthesizer runs it on every plan.
         """
-        for decision in self.decisions:
+        decisions = self.decisions
+        for decision in decisions:
             if decision.end_address > self.pool_size:
                 raise ValueError(
                     f"decision for request {decision.request.req_id} ends at "
                     f"{decision.end_address}, beyond the pool size {self.pool_size}"
                 )
-        ordered = sorted(self.decisions, key=lambda d: d.address)
-        active: list[AllocationDecision] = []
-        for decision in ordered:
-            still_active = []
-            for other in active:
-                if other.end_address > decision.address:
-                    still_active.append(other)
-                    if decision.conflicts_with(other):
-                        raise ValueError(
-                            "memory stomping: requests "
-                            f"{decision.request.req_id} and {other.request.req_id} overlap "
-                            "in both address range and lifespan"
-                        )
-            active = still_active
-            active.append(decision)
+        # (time, kind, index) with kind 0 = free sorting before kind 1 = alloc.
+        points = [(d.request.alloc_time, 1, i) for i, d in enumerate(decisions)]
+        points += [(d.request.free_time, 0, i) for i, d in enumerate(decisions)]
+        points.sort()
+        live: list[tuple[int, int]] = []  # (address, index), sorted
+        for _, kind, index in points:
+            decision = decisions[index]
+            key = (decision.address, index)
+            pos = bisect.bisect_left(live, key)
+            if kind == 0:
+                del live[pos]
+                continue
+            for _, neighbour in live[max(pos - 1, 0) : pos + 1]:
+                other = decisions[neighbour]
+                if decision.conflicts_with(other):
+                    raise ValueError(
+                        "memory stomping: requests "
+                        f"{decision.request.req_id} and {other.request.req_id} overlap "
+                        "in both address range and lifespan"
+                    )
+            live.insert(pos, key)
 
     def allocated_time_memory(self) -> int:
         """Numerator of the plan-level time-memory product."""

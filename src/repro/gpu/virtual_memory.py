@@ -22,6 +22,7 @@ throughput model can charge for them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.gpu.device import Device, MIB, PhysicalAllocation, align_up
@@ -110,6 +111,8 @@ class VirtualMemoryManager:
         self._virtual_cursor = 1 << 40  # virtual addresses live far above physical ones
         self._handles: dict[int, PhysicalHandle] = {}
         self._mappings: dict[int, VirtualMapping] = {}  # keyed by virtual address
+        # handle id -> number of live mappings (a handle may be mapped twice).
+        self._mapped_handles: Counter[int] = Counter()
         self._ranges: list[VirtualRange] = []
 
     # ------------------------------------------------------------------ #
@@ -132,7 +135,7 @@ class VirtualMemoryManager:
         """Release a physical granule (``cuMemRelease``)."""
         if handle.handle_id not in self._handles:
             raise InvalidAddressError(f"unknown physical handle {handle.handle_id}")
-        if any(m.handle.handle_id == handle.handle_id for m in self._mappings.values()):
+        if handle.handle_id in self._mapped_handles:
             raise InvalidAddressError(
                 f"physical handle {handle.handle_id} is still mapped; unmap it first"
             )
@@ -174,6 +177,7 @@ class VirtualMemoryManager:
             raise InvalidAddressError(f"virtual address {virtual_address:#x} is already mapped")
         mapping = VirtualMapping(virtual_address=virtual_address, handle=handle)
         self._mappings[virtual_address] = mapping
+        self._mapped_handles[handle.handle_id] += 1
         self.stats.map_calls += 1
         return mapping
 
@@ -186,6 +190,10 @@ class VirtualMemoryManager:
         mapping = self._mappings.pop(virtual_address, None)
         if mapping is None:
             raise InvalidAddressError(f"virtual address {virtual_address:#x} is not mapped")
+        handle_id = mapping.handle.handle_id
+        self._mapped_handles[handle_id] -= 1
+        if not self._mapped_handles[handle_id]:
+            del self._mapped_handles[handle_id]
         self.stats.unmap_calls += 1
         return mapping.handle
 
@@ -209,6 +217,7 @@ class VirtualMemoryManager:
     def release_all(self) -> None:
         """Unmap and release everything (teardown helper for experiments)."""
         self._mappings.clear()
+        self._mapped_handles.clear()
         for handle in list(self._handles.values()):
             del self._handles[handle.handle_id]
             self.device.free(handle.backing)

@@ -93,3 +93,23 @@ def dense_trace(tiny_dense_config):
 def moe_trace(tiny_moe_config):
     """A generated MoE trace (with dynamic requests) shared by the tests."""
     return TraceGenerator(tiny_moe_config, seed=1).generate()
+
+
+@pytest.fixture(scope="session")
+def recompute_trace(tiny_dense_config):
+    """The dense trace with activation recomputation enabled."""
+    return TraceGenerator(tiny_dense_config.with_(recompute=True), seed=1).generate()
+
+
+@pytest.fixture(scope="session")
+def comm_heavy_config(tiny_moe_config):
+    """The MoE config with a skewed router and full all-to-all transients."""
+    return tiny_moe_config.with_(
+        moe_imbalance=0.6, moe_comm_factor=1.0, label="test-moe-comm"
+    )
+
+
+@pytest.fixture(scope="session")
+def comm_heavy_trace(comm_heavy_config):
+    """An EP rank 1 trace dominated by dispatch/combine staging buffers."""
+    return TraceGenerator(comm_heavy_config, seed=1, ep_rank=1).generate()

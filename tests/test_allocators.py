@@ -22,6 +22,13 @@ from repro.allocators.registry import available_allocators, create_allocator, re
 from repro.gpu.device import Device, GIB, KIB, MIB
 from repro.gpu.errors import OutOfMemoryError
 
+#: Request sizes for the random workloads: arbitrary sizes plus a few large
+#: ones that, on a small device, force OOMs and cache release / reclaim.
+SIZES = st.one_of(
+    st.integers(min_value=1, max_value=64 * MIB),
+    st.sampled_from([4 * MIB, 24 * MIB, 40 * MIB, 60 * MIB]),
+)
+
 
 class TestCachingAllocatorConfig:
     def test_round_size_minimum(self):
@@ -165,30 +172,46 @@ class TestCachingAllocator:
         assert allocator.stats.peak_allocated == 64 * MIB
         assert allocator.stats.peak_reserved >= 64 * MIB
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=1, max_value=64 * MIB), st.booleans()),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_invariants_under_random_workload(self, operations):
-        """Reserved covers allocated; free/alloc bookkeeping never corrupts."""
-        device = Device(name="prop", capacity=512 * GIB)
+    @pytest.mark.parametrize("capacity", [512 * GIB, 96 * MIB], ids=["roomy", "small"])
+    @given(st.lists(st.tuples(SIZES, st.booleans()), min_size=1, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_invariants_under_random_workload(self, capacity, operations):
+        """Reserved covers allocated; free/alloc bookkeeping never corrupts.
+
+        On the small device OOMs reach ``release_cached_segments``; the
+        reserved counter must still equal the segment sizes and the device.
+        """
+        device = Device(name="prop", capacity=capacity)
         allocator = CachingAllocator(device)
         live: list[int] = []
+
+        def check():
+            segments = sum(segment.size for segment in allocator.segments())
+            assert allocator.reserved_bytes == segments == device.in_use
+            assert allocator.allocated_bytes <= allocator.reserved_bytes
+
         for index, (size, should_free) in enumerate(operations):
-            allocator.allocate(index, size)
-            live.append(index)
+            try:
+                allocator.allocate(index, size)
+                live.append(index)
+            except OutOfMemoryError:
+                assert capacity < 512 * GIB
+            check()
             if should_free and live:
                 allocator.free(live.pop(0))
-            assert allocator.reserved_bytes >= 0
-            assert allocator.reserved_bytes == device.in_use
-            assert allocator.allocated_bytes <= allocator.reserved_bytes
+                check()
         for req_id in live:
             allocator.free(req_id)
         assert allocator.allocated_bytes == 0
+
+    def test_reserved_counter_drops_when_cache_is_released(self, small_device):
+        allocator = CachingAllocator(small_device)
+        allocator.allocate(1, 20 * MIB)
+        allocator.allocate(2, 20 * MIB)
+        allocator.free(1)
+        allocator.allocate(3, 40 * MIB)  # needs segment 1's memory back
+        assert allocator.stats.device_free_calls == 1
+        assert allocator.reserved_bytes == small_device.in_use == 60 * MIB
 
 
 class TestExpandableSegmentsAllocator:
@@ -229,6 +252,44 @@ class TestExpandableSegmentsAllocator:
         allocator.allocate(1, 40 * MIB)
         with pytest.raises(OutOfMemoryError):
             allocator.allocate(2, 40 * MIB)
+
+    def test_reserved_matches_vmm_after_oom_partway_through_a_grow(self, small_device):
+        allocator = ExpandableSegmentsAllocator(small_device)
+        allocator.allocate(1, 40 * MIB)
+        allocator.allocate(2, 3 * MIB)
+        allocator.free(2)
+        maps_before = allocator.vmm.stats.map_calls
+        with pytest.raises(OutOfMemoryError):
+            allocator.allocate(3, 30 * MIB)
+        # The failed request mapped (and partly reclaimed) granules first.
+        assert allocator.vmm.stats.map_calls > maps_before
+        assert allocator.reserved_bytes == allocator.vmm.mapped_bytes == small_device.in_use
+        allocator.free(1)
+        allocator.allocate(4, 20 * MIB)
+        assert allocator.reserved_bytes == allocator.vmm.mapped_bytes == small_device.in_use
+
+    @given(st.lists(st.tuples(SIZES, st.booleans()), min_size=1, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_reserved_matches_vmm_under_memory_pressure(self, operations):
+        """Growth, reclaim and OOMs keep reserved bytes equal to what the VMM
+        has mapped, which on this allocator is all the device holds."""
+        device = Device(name="prop-small", capacity=64 * MIB)
+        allocator = ExpandableSegmentsAllocator(device)
+        live: list[int] = []
+
+        def check():
+            assert allocator.reserved_bytes == allocator.vmm.mapped_bytes == device.in_use
+
+        for index, (size, should_free) in enumerate(operations):
+            try:
+                allocator.allocate(index, size)
+                live.append(index)
+            except OutOfMemoryError:
+                pass
+            check()
+            if should_free and live:
+                allocator.free(live.pop(0))
+                check()
 
 
 class TestGMLakeAllocator:

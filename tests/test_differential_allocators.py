@@ -17,28 +17,8 @@ from repro.gpu.device import Device, GIB, MIB
 from repro.simulator.replay import replay_trace
 from repro.simulator.runner import all_known_allocators, run_workload_suite
 from repro.workloads.trace import Trace, TraceMetadata
-from repro.workloads.tracegen import TraceGenerator
 
 BASELINES = available_allocators()
-
-
-@pytest.fixture(scope="module")
-def recompute_trace(tiny_dense_config):
-    return TraceGenerator(tiny_dense_config.with_(recompute=True), seed=1).generate()
-
-
-@pytest.fixture(scope="module")
-def comm_heavy_config(tiny_moe_config):
-    """The MoE config with a skewed router and full all-to-all transients."""
-    return tiny_moe_config.with_(
-        moe_imbalance=0.6, moe_comm_factor=1.0, label="test-moe-comm"
-    )
-
-
-@pytest.fixture(scope="module")
-def comm_heavy_trace(comm_heavy_config):
-    """An EP rank 1 trace dominated by dispatch/combine staging buffers."""
-    return TraceGenerator(comm_heavy_config, seed=1, ep_rank=1).generate()
 
 
 def _trace_for(name: str, request):

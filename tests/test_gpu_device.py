@@ -174,6 +174,19 @@ class TestVirtualMemoryManager:
         with pytest.raises(InvalidAddressError):
             vmm.release_handle(handle)
 
+    def test_handle_mapped_twice_stays_mapped_until_both_unmapped(self, device):
+        vmm = VirtualMemoryManager(device)
+        vrange = vmm.reserve_range(8 * MIB)
+        handle = vmm.create_handle()
+        vmm.map(vrange.start, handle)
+        vmm.map(vrange.start + vmm.granule, handle)
+        vmm.unmap(vrange.start)
+        with pytest.raises(InvalidAddressError):
+            vmm.release_handle(handle)
+        vmm.unmap(vrange.start + vmm.granule)
+        vmm.release_handle(handle)
+        assert device.in_use == 0
+
     def test_handle_creation_oom_propagates(self, small_device):
         vmm = VirtualMemoryManager(small_device)
         with pytest.raises(OutOfMemoryError):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynamic_space import group_temporal_range, homolayer_groups
 from repro.core.events import MemoryRequest, Phase, PhaseKind
@@ -286,4 +288,89 @@ class TestValidateDetectsBrokenPlans:
             pool_size=1024,
         )
         with pytest.raises(ValueError, match="beyond the pool size"):
+            plan.validate()
+
+    def test_touching_in_space_or_time_is_not_a_conflict(self):
+        plan = StaticAllocationPlan(
+            decisions=[
+                AllocationDecision(request=self._request(0, 1024, 0, 10), address=0),
+                AllocationDecision(request=self._request(1, 1024, 0, 10), address=1024),
+                AllocationDecision(request=self._request(2, 2048, 10, 20), address=0),
+            ],
+            pool_size=2048,
+        )
+        plan.validate()
+
+    def test_frees_are_swept_before_allocations_at_equal_times(self):
+        """Request 1 ends at t=10 where 0 and 2 start: were it still live
+        there, it would sit between 2 and its true conflict 0 in address
+        order and hide that conflict from the neighbour check."""
+        plan = StaticAllocationPlan(
+            decisions=[
+                AllocationDecision(request=self._request(0, 512, 10, 20), address=0),
+                AllocationDecision(request=self._request(1, 512, 0, 10), address=0),
+                AllocationDecision(request=self._request(2, 512, 10, 20), address=256),
+            ],
+            pool_size=1024,
+        )
+        with pytest.raises(ValueError, match="memory stomping: requests 2 and 0"):
+            plan.validate()
+
+    def test_checks_each_decision_against_at_most_two_neighbours(self, monkeypatch):
+        """n back-to-back lifespans at one address: the sweep makes at most
+        2n ``conflicts_with`` calls (an address-ordered scan makes ~n^2/2)."""
+        n = 5000
+        plan = StaticAllocationPlan(
+            decisions=[
+                AllocationDecision(request=self._request(i, 1024, i, i + 1), address=0)
+                for i in range(n)
+            ],
+            pool_size=1024,
+        )
+        calls = 0
+        original = AllocationDecision.conflicts_with
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(AllocationDecision, "conflicts_with", counting)
+        plan.validate()
+        assert calls <= 2 * n
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # address, in 256-byte units
+                st.integers(min_value=1, max_value=3),  # size, in 256-byte units
+                st.integers(min_value=0, max_value=6),  # alloc time
+                st.integers(min_value=1, max_value=3),  # lifespan
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_validate_agrees_with_independent_checker(self, specs):
+        """Small random plans, dense in touching addresses and time
+        boundaries: validate raises exactly when the brute force does."""
+        plan = StaticAllocationPlan(
+            decisions=[
+                AllocationDecision(
+                    request=self._request(i, size * 256, alloc, alloc + lifespan),
+                    address=address * 256,
+                )
+                for i, (address, size, alloc, lifespan) in enumerate(specs)
+            ]
+        )
+        try:
+            assert_no_spatio_temporal_overlap(plan)
+            expected_conflict = False
+        except AssertionError:
+            expected_conflict = True
+        if expected_conflict:
+            with pytest.raises(ValueError, match="memory stomping"):
+                plan.validate()
+        else:
             plan.validate()
