@@ -141,12 +141,18 @@ class Allocator(abc.ABC):
         if req_id in self._live_sizes:
             raise ValueError(f"request {req_id} is already live")
         hints = hints or AllocationHints()
-        placement = self._do_allocate(req_id, int(size), hints)
-        self.stats.alloc_calls += 1
-        self._live_sizes[req_id] = int(size)
-        self._allocated_bytes += int(size)
-        self.stats.peak_allocated = max(self.stats.peak_allocated, self._allocated_bytes)
-        self.stats.peak_reserved = max(self.stats.peak_reserved, self.reserved_bytes)
+        size = int(size)
+        placement = self._do_allocate(req_id, size, hints)
+        stats = self.stats
+        stats.alloc_calls += 1
+        self._live_sizes[req_id] = size
+        allocated = self._allocated_bytes + size
+        self._allocated_bytes = allocated
+        if allocated > stats.peak_allocated:
+            stats.peak_allocated = allocated
+        reserved = self.reserved_bytes
+        if reserved > stats.peak_reserved:
+            stats.peak_reserved = reserved
         return placement
 
     def free(self, req_id: int) -> None:

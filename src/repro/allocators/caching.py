@@ -114,16 +114,42 @@ class Block:
 
 @dataclass
 class Segment:
-    """One device allocation sliced into blocks."""
+    """One device allocation sliced into blocks that tile it.
+
+    ``blocks`` keys every block by its start offset and ``ends`` by its end
+    offset, so a block's next neighbour is ``blocks[block.end]`` and its
+    previous one ``ends[block.offset]``: one lookup each, however many blocks
+    the segment holds.  :meth:`split` and :meth:`absorb` keep the two maps in
+    step.
+    """
 
     segment_id: int
     pool: str
     size: int
     device_allocation: object
     blocks: dict[int, Block] = field(default_factory=dict)  # keyed by offset
+    ends: dict[int, Block] = field(default_factory=dict)  # keyed by end offset
 
-    def sorted_blocks(self) -> list[Block]:
-        return [self.blocks[offset] for offset in sorted(self.blocks)]
+    def split(self, block: Block, size: int) -> Block:
+        """Shrink ``block`` to ``size`` bytes and return the free remainder."""
+        remainder = Block(
+            segment_id=self.segment_id,
+            offset=block.offset + size,
+            size=block.size - size,
+            free=True,
+        )
+        block.size = size
+        self.blocks[remainder.offset] = remainder
+        self.ends[remainder.end] = remainder
+        self.ends[block.end] = block
+        return remainder
+
+    def absorb(self, block: Block, neighbour: Block) -> None:
+        """Grow ``block`` over ``neighbour``, the block right after it."""
+        del self.blocks[neighbour.offset]
+        del self.ends[block.end]
+        block.size += neighbour.size
+        self.ends[block.end] = block
 
     def is_fully_free(self) -> bool:
         return all(block.free for block in self.blocks.values())
@@ -153,16 +179,6 @@ class CachingAllocator(Allocator):
     @property
     def reserved_bytes(self) -> int:
         return self._reserved
-
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes reserved but currently free (the fragmentation + cache)."""
-        return self.reserved_bytes - sum(
-            block.size
-            for segment in self._segments.values()
-            for block in segment.blocks.values()
-            if not block.free
-        )
 
     def segments(self) -> list[Segment]:
         """Live segments (exposed for white-box tests and statistics)."""
@@ -242,6 +258,7 @@ class CachingAllocator(Allocator):
         )
         block = Block(segment_id=segment.segment_id, offset=0, size=segment_size, free=True)
         segment.blocks[0] = block
+        segment.ends[segment_size] = block
         self._segments[segment.segment_id] = segment
         self._reserved += segment_size
         self._index_insert(pool, block)
@@ -255,15 +272,7 @@ class CachingAllocator(Allocator):
     def _maybe_split(self, block: Block, rounded: int, pool: str) -> Block:
         """Split ``block`` so the request occupies exactly ``rounded`` bytes."""
         if block.size > rounded and self.config.should_split(block.size, rounded, pool):
-            segment = self._segments[block.segment_id]
-            remainder = Block(
-                segment_id=block.segment_id,
-                offset=block.offset + rounded,
-                size=block.size - rounded,
-                free=True,
-            )
-            block.size = rounded
-            segment.blocks[remainder.offset] = remainder
+            remainder = self._segments[block.segment_id].split(block, rounded)
             self._index_insert(pool, remainder)
             self.stats.splits += 1
         return block
@@ -282,20 +291,16 @@ class CachingAllocator(Allocator):
     def _merge_with_neighbours(self, segment: Segment, block: Block) -> None:
         """Coalesce ``block`` with free neighbours, then (re)index it."""
         pool = segment.pool
-        blocks = segment.sorted_blocks()
-        position = blocks.index(block)
         # Merge the next neighbour first so offsets stay valid.
-        if position + 1 < len(blocks) and blocks[position + 1].free:
-            neighbour = blocks[position + 1]
+        neighbour = segment.blocks.get(block.end)
+        if neighbour is not None and neighbour.free:
             self._index_remove(pool, neighbour)
-            del segment.blocks[neighbour.offset]
-            block.size += neighbour.size
+            segment.absorb(block, neighbour)
             self.stats.merges += 1
-        if position > 0 and blocks[position - 1].free:
-            neighbour = blocks[position - 1]
+        neighbour = segment.ends.get(block.offset)
+        if neighbour is not None and neighbour.free:
             self._index_remove(pool, neighbour)
-            del segment.blocks[block.offset]
-            neighbour.size += block.size
+            segment.absorb(neighbour, block)
             block = neighbour
             self.stats.merges += 1
         self._index_insert(pool, block)

@@ -60,14 +60,9 @@ class _Arena:
 
     pool: str
     virtual_start: int
-    mapped: IntervalSet = field(default_factory=IntervalSet)       # mapped virtual space
     free: IntervalSet = field(default_factory=IntervalSet)         # mapped and unallocated
-    handles: dict[int, PhysicalHandle] = field(default_factory=dict)  # keyed by virtual offset
+    handles: dict[int, PhysicalHandle] = field(default_factory=dict)  # mapped granules by offset
     tail: int = 0  # first never-mapped offset (the growth point)
-
-    @property
-    def mapped_bytes(self) -> int:
-        return self.mapped.total
 
 
 class ExpandableSegmentsAllocator(Allocator):
@@ -83,13 +78,17 @@ class ExpandableSegmentsAllocator(Allocator):
         self.vmm = VirtualMemoryManager(device, granule=self.config.granule)
         self._arenas: dict[str, _Arena] = {}
         self._placements: dict[int, tuple[str, int, int]] = {}  # req_id -> (pool, offset, size)
+        # Mapped bytes over every arena.  ``_add_run`` and
+        # ``_reclaim_free_granules`` keep it current, because
+        # ``Allocator.allocate`` reads it on every call.
+        self._mapped = 0
 
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
     @property
     def reserved_bytes(self) -> int:
-        return sum(arena.mapped_bytes for arena in self._arenas.values())
+        return self._mapped
 
     def arena(self, pool: str) -> _Arena:
         """Return (creating on first use) the arena backing ``pool``."""
@@ -132,10 +131,11 @@ class ExpandableSegmentsAllocator(Allocator):
         """Map enough granules at the arena tail to fit a ``rounded`` request.
 
         Every granule is its own physical handle and ``map`` call (the
-        overhead model charges per driver op), but the arena's interval sets
-        take each contiguous run in one update.  The pending run is added
-        before reclaiming, so reclaim sees every mapped granule, and on the
-        way out, so an OOM partway leaves the sets in step with the VMM.
+        overhead model charges per driver op), but the arena's free set and
+        the mapped-bytes counter take each contiguous run in one update.  The
+        pending run is added before reclaiming, so reclaim sees every mapped
+        granule, and on the way out, so an OOM partway leaves the free set
+        and ``reserved_bytes`` in step with the VMM.
         """
         granule = self.config.granule
         # Free space already touching the tail still counts toward the request.
@@ -163,12 +163,11 @@ class ExpandableSegmentsAllocator(Allocator):
         finally:
             self._add_run(arena, run_start)
 
-    @staticmethod
-    def _add_run(arena: _Arena, start: int) -> int:
+    def _add_run(self, arena: _Arena, start: int) -> int:
         """Add the granules mapped since ``start`` to the arena as free space."""
         if arena.tail > start:
-            arena.mapped.add(start, arena.tail)
             arena.free.add(start, arena.tail)
+            self._mapped += arena.tail - start
         return arena.tail
 
     def _reclaim_free_granules(self) -> int:
@@ -187,8 +186,8 @@ class ExpandableSegmentsAllocator(Allocator):
                         self.vmm.unmap(arena.virtual_start + start)
                         self.vmm.release_handle(handle)
                         self.stats.vmm_ops += 2
-                        arena.mapped.remove(start, start + self.config.granule)
                         arena.free.remove(start, start + self.config.granule)
+                        self._mapped -= self.config.granule
                         reclaimed += 1
                     start += self.config.granule
         return reclaimed

@@ -99,15 +99,7 @@ class GMLakeAllocator(CachingAllocator):
             # used block is split so the tail stays reusable.
             take = min(block.size, align_up(remaining, self.gmlake_config.granule))
             if take < block.size and (block.size - take) >= self.config.min_block_size:
-                segment = self._segments[block.segment_id]
-                leftover = Block(
-                    segment_id=block.segment_id,
-                    offset=block.offset + take,
-                    size=block.size - take,
-                    free=True,
-                )
-                block.size = take
-                segment.blocks[leftover.offset] = leftover
+                leftover = self._segments[block.segment_id].split(block, take)
                 self._index_insert(pool, leftover)
                 self.stats.splits += 1
             block.free = False

@@ -29,14 +29,11 @@ tell the difference from the old object-walking implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.events import EventKind, Phase, TensorCategory, TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.core.events import EventKind, MemoryRequest, Phase, TensorCategory, TraceEvent
 
 #: Event-kind codes (column ``kind``).
 ALLOC = 0
@@ -346,6 +343,74 @@ class TraceColumns:
         if self.num_events == 0:
             return 0
         return int(self.time[-1]) + 1
+
+    # ------------------------------------------------------------------ #
+    # Memory-request pairing (profiler view)
+    # ------------------------------------------------------------------ #
+    def to_requests(
+        self, phases: Mapping[int, Phase], *, end_of_trace: int | None = None
+    ) -> list[MemoryRequest]:
+        """Pair alloc/free rows into :class:`MemoryRequest` objects.
+
+        ``phases`` maps ``Phase.index`` to the phase object.  Allocations
+        never freed within the trace (weights, optimizer states) are closed
+        at ``end_of_trace`` (default: one tick past the latest timestamp)
+        with the free phase of the latest event.  Raises ``ValueError`` on a
+        free without a matching allocation and on a second allocation of a
+        live request id.  Requests come back sorted by (alloc time, id).
+        """
+        if self.num_events == 0:
+            return []
+        time = self.time
+        latest = time.max()
+        if end_of_trace is None:
+            end_of_trace = int(latest) + 1
+        last_phase = phases[int(self.phase_index[time == latest].max())]
+        modules = self.modules
+        tags = self.tags
+
+        def close(req_id: int, alloc: tuple, free_time: int, free_phase: Phase, free_module: str):
+            size, at, phase_index, module_index, dyn, category, tag_index = alloc
+            return MemoryRequest(
+                req_id=req_id,
+                size=size,
+                alloc_time=at,
+                free_time=free_time,
+                alloc_phase=phases[phase_index],
+                free_phase=free_phase,
+                dyn=bool(dyn),
+                alloc_module=modules[module_index],
+                free_module=free_module or modules[module_index],
+                category=CATEGORIES[category],
+                tag=tags[tag_index],
+            )
+
+        # req_id -> (size, time, phase_index, module_index, dyn, category, tag_index)
+        open_allocs: dict[int, tuple] = {}
+        requests: list[MemoryRequest] = []
+        rows = zip(
+            self.size.tolist(),
+            time.tolist(),
+            self.phase_index.tolist(),
+            self.module_index.tolist(),
+            self.dyn.tolist(),
+            self.category.tolist(),
+            self.tag_index.tolist(),
+        )
+        for kind, req_id, row in zip(self.kind.tolist(), self.req_id.tolist(), rows):
+            if kind == ALLOC:
+                if req_id in open_allocs:
+                    raise ValueError(f"request {req_id} allocated twice without a free")
+                open_allocs[req_id] = row
+                continue
+            alloc = open_allocs.pop(req_id, None)
+            if alloc is None:
+                raise ValueError(f"free of unknown request {req_id}")
+            requests.append(close(req_id, alloc, row[1], phases[row[2]], modules[row[3]]))
+        for req_id, alloc in open_allocs.items():
+            requests.append(close(req_id, alloc, max(end_of_trace, alloc[1] + 1), last_phase, ""))
+        requests.sort(key=lambda m: (m.alloc_time, m.req_id))
+        return requests
 
     # ------------------------------------------------------------------ #
     # Alloc/free pairing (batch-replay support)

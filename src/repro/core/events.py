@@ -196,63 +196,17 @@ class MemoryRequest:
 def pair_events(events: Iterable[TraceEvent], *, end_of_trace: int | None = None) -> list[MemoryRequest]:
     """Pair raw alloc/free events into :class:`MemoryRequest` objects.
 
-    Allocations that are never freed within the trace (persistent tensors such
-    as weights and optimizer states) are closed at ``end_of_trace`` (defaults
-    to one tick past the last observed event) with their free phase set to the
-    phase of the final event.
+    Adapter onto :meth:`repro.core.columns.TraceColumns.to_requests`, the one
+    pairing implementation: allocations that are never freed within the
+    trace (persistent tensors such as weights and optimizer states) are
+    closed at ``end_of_trace`` (defaults to one tick past the last observed
+    event) with their free phase set to the phase of the final event.
 
     Raises ``ValueError`` on malformed traces (free without a matching alloc,
     duplicate allocation of the same request id).
     """
-    events = list(events)
-    if not events:
-        return []
-    last_time = max(e.time for e in events)
-    last_phase = max(events, key=lambda e: (e.time, e.phase.index)).phase
-    if end_of_trace is None:
-        end_of_trace = last_time + 1
+    from repro.core.columns import TraceColumns  # columns imports this module
 
-    open_allocs: dict[int, TraceEvent] = {}
-    requests: list[MemoryRequest] = []
-    for event in events:
-        if event.is_alloc():
-            if event.req_id in open_allocs:
-                raise ValueError(f"request {event.req_id} allocated twice without a free")
-            open_allocs[event.req_id] = event
-        else:
-            alloc = open_allocs.pop(event.req_id, None)
-            if alloc is None:
-                raise ValueError(f"free of unknown request {event.req_id}")
-            requests.append(
-                MemoryRequest(
-                    req_id=alloc.req_id,
-                    size=alloc.size,
-                    alloc_time=alloc.time,
-                    free_time=event.time,
-                    alloc_phase=alloc.phase,
-                    free_phase=event.phase,
-                    dyn=alloc.dyn,
-                    alloc_module=alloc.module,
-                    free_module=event.module or alloc.module,
-                    category=alloc.category,
-                    tag=alloc.tag,
-                )
-            )
-    for alloc in open_allocs.values():
-        requests.append(
-            MemoryRequest(
-                req_id=alloc.req_id,
-                size=alloc.size,
-                alloc_time=alloc.time,
-                free_time=max(end_of_trace, alloc.time + 1),
-                alloc_phase=alloc.phase,
-                free_phase=last_phase,
-                dyn=alloc.dyn,
-                alloc_module=alloc.module,
-                free_module=alloc.module,
-                category=alloc.category,
-                tag=alloc.tag,
-            )
-        )
-    requests.sort(key=lambda m: (m.alloc_time, m.req_id))
-    return requests
+    events = list(events)
+    phases = {event.phase.index: event.phase for event in events}
+    return TraceColumns.from_events(events).to_requests(phases, end_of_trace=end_of_trace)

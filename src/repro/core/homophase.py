@@ -23,6 +23,7 @@ Both respect the same acceptance test; the ablation benchmark compares them.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -130,17 +131,14 @@ def pack_requests(
     ordered = sorted(requests, key=lambda m: (m.alloc_time, m.req_id))
     free = IntervalSet()
     top = 0
-    # Min-heap-by-free-time of (free_time, offset, size) for expiry.
+    # Min-heap by free time of (free_time, offset, size) for expiry.
     live: list[tuple[int, int, int]] = []
     for request in ordered:
-        # Return the space of every request that has already been freed.
-        still_live = []
-        for free_time, offset, size in live:
-            if free_time <= request.alloc_time:
-                free.add(offset, offset + size)
-            else:
-                still_live.append((free_time, offset, size))
-        live = still_live
+        # Return the space of every request that has already been freed (the
+        # union does not depend on the order the expired ranges are added).
+        while live and live[0][0] <= request.alloc_time:
+            _, offset, size = heapq.heappop(live)
+            free.add(offset, offset + size)
 
         carved = free.carve(request.size, policy="best_fit")
         if carved is not None:
@@ -149,7 +147,7 @@ def pack_requests(
             offset = top
             top += request.size
         plan.add(request, offset)
-        live.append((request.free_time, offset, request.size))
+        heapq.heappush(live, (request.free_time, offset, request.size))
     return plan
 
 

@@ -150,12 +150,15 @@ class Device:
         if size > self.free_bytes:
             self.stats.failed_mallocs += 1
             raise OutOfMemoryError(size, self.usable_capacity, self._in_use)
+        size = int(size)
         address = next(self._next_address) * DRIVER_ALIGNMENT
-        allocation = PhysicalAllocation(address=address, size=int(size))
+        allocation = PhysicalAllocation(address=address, size=size)
         self._allocations[address] = allocation
-        self._in_use += allocation.size
-        self.stats.bytes_allocated_total += allocation.size
-        self.stats.peak_in_use = max(self.stats.peak_in_use, self._in_use)
+        in_use = self._in_use + size
+        self._in_use = in_use
+        self.stats.bytes_allocated_total += size
+        if in_use > self.stats.peak_in_use:
+            self.stats.peak_in_use = in_use
         return allocation
 
     def free(self, allocation: PhysicalAllocation | int) -> None:

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.allocators.base import AllocationHints, Allocator
+from repro.core.columns import ALLOC, CATEGORIES
 from repro.gpu.errors import OutOfMemoryError
 from repro.obs.tracer import is_enabled as _obs_enabled
 from repro.obs.tracer import observe as _obs_observe
@@ -68,6 +69,10 @@ class ReplayResult:
 def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True) -> ReplayResult:
     """Feed every event of ``trace`` to ``allocator`` and collect peak metrics.
 
+    The replay walks the trace's columns row by row (``trace.events`` is
+    never materialized) and hands the allocator one shared, frozen
+    :class:`AllocationHints` per distinct (phase, module, dyn, category).
+
     When the allocator raises an out-of-memory error the replay stops (the
     training job would have crashed) and the result is flagged unsuccessful;
     peak metrics cover the portion replayed up to that point.
@@ -95,6 +100,14 @@ def replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool = True
 
 
 def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> ReplayResult:
+    """Untraced body of :func:`replay_trace`.
+
+    Tries the allocator's one-pass :meth:`Allocator.batch_replay` first;
+    otherwise zips the ``kind``, ``req_id``, ``size``, ``phase_index``,
+    ``module_index``, ``dyn`` and ``category`` columns, so the cost per event
+    is the allocator call plus one dict lookup for its hints.
+    ``oom_at_event`` is the row index of the first failed allocation.
+    """
     batched = allocator.batch_replay(trace, stop_on_oom=stop_on_oom)
     if batched is not None:
         return ReplayResult(
@@ -108,40 +121,61 @@ def _replay_trace(trace: Trace, allocator: Allocator, *, stop_on_oom: bool) -> R
             allocator_stats=allocator.stats.snapshot(),
             overhead_seconds=allocator.overhead_seconds(),
         )
+    columns = trace.columns
+    phases = trace.phase_by_index()
+    modules = columns.modules
+    # One frozen hints object per distinct (phase, module, dyn, category):
+    # a trace has far fewer of those than allocations.
+    hints_memo: dict[tuple[int, int, int, int], AllocationHints] = {}
+    allocate = allocator.allocate
+    free = allocator.free
     events_replayed = 0
     failed_allocs = 0
     skipped_frees = 0
     oom_at_event: int | None = None
     oom_request_bytes = 0
     failed_requests: set[int] = set()
-    for index, event in enumerate(trace.events):
-        if event.is_alloc():
-            hints = AllocationHints(
-                phase=event.phase,
-                module=event.module,
-                dyn=event.dyn,
-                category=event.category,
-            )
+    for index, (kind, req_id, size, phase_index, module_index, dyn, category) in enumerate(
+        zip(
+            columns.kind.tolist(),
+            columns.req_id.tolist(),
+            columns.size.tolist(),
+            columns.phase_index.tolist(),
+            columns.module_index.tolist(),
+            columns.dyn.tolist(),
+            columns.category.tolist(),
+        )
+    ):
+        if kind == ALLOC:
+            key = (phase_index, module_index, dyn, category)
+            hints = hints_memo.get(key)
+            if hints is None:
+                hints = hints_memo[key] = AllocationHints(
+                    phase=phases[phase_index],
+                    module=modules[module_index],
+                    dyn=bool(dyn),
+                    category=CATEGORIES[category],
+                )
             try:
-                allocator.allocate(event.req_id, event.size, hints)
+                allocate(req_id, size, hints)
             except OutOfMemoryError:
                 if oom_at_event is None:
                     oom_at_event = index
-                    oom_request_bytes = event.size
-                failed_requests.add(event.req_id)
+                    oom_request_bytes = size
+                failed_requests.add(req_id)
                 failed_allocs += 1
                 if stop_on_oom:
                     break
                 continue
         else:
-            if event.req_id in failed_requests:
+            if req_id in failed_requests:
                 # The matching allocation never happened; drop the request
                 # from the failed set so the bookkeeping stays bounded and
                 # a (pathological) re-use of the id is not swallowed too.
-                failed_requests.discard(event.req_id)
+                failed_requests.discard(req_id)
                 skipped_frees += 1
                 continue
-            allocator.free(event.req_id)
+            free(req_id)
         events_replayed += 1
 
     metrics = MemoryMetrics(

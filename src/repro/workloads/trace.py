@@ -9,10 +9,15 @@ the replay simulator feeds them to allocators.
 Storage is columnar (:class:`repro.core.columns.TraceColumns` -- parallel
 numpy int64 arrays, built once per trace).  The object API is a thin lazy
 view: ``trace.events`` materializes :class:`TraceEvent` objects on first
-access, while analytics, serialization, and replay operate directly on the
-columns.  A trace may be constructed from either representation; whichever
-side is missing is derived lazily and memoised.  Traces are treated as
-immutable once constructed (the digest memo and the sweep cache rely on it).
+access.  Everything the simulator does with a trace reads the columns and
+never touches ``trace.events``: the analytics and serialization below,
+request pairing for the profiler (:meth:`Trace.to_requests`), and replay
+(:func:`repro.simulator.replay.replay_trace`), which walks the columns row by
+row and, for the allocators that support it, applies the whole trace in one
+vectorized pass.  A trace may be constructed from either representation;
+whichever side is missing is derived lazily and memoised.  Traces are
+treated as immutable once constructed (the digest memo and the sweep cache
+rely on it).
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from repro.core.events import (
     MemoryRequest,
     Phase,
     TraceEvent,
-    pair_events,
     phase_from_dict,
     phase_to_dict,
 )
@@ -200,9 +204,17 @@ class Trace:
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
+    def phase_by_index(self) -> dict[int, Phase]:
+        """``Phase.index`` -> phase, for turning column rows into objects."""
+        phases = {phase.index: phase for phase in self.phases}
+        if self._events is not None:
+            # An event-built trace carries its phases on the events themselves.
+            phases.update((event.phase.index, event.phase) for event in self._events)
+        return phases
+
     def to_requests(self) -> list[MemoryRequest]:
         """Pair alloc/free events into memory-request events (profiler view)."""
-        return pair_events(self.events, end_of_trace=self.end_time())
+        return self.columns.to_requests(self.phase_by_index(), end_of_trace=self.end_time())
 
     def static_dynamic_split(self) -> tuple[int, int]:
         """(static bytes, dynamic bytes) of the iteration's allocations."""

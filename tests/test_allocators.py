@@ -29,6 +29,16 @@ SIZES = st.one_of(
     st.sampled_from([4 * MIB, 24 * MIB, 40 * MIB, 60 * MIB]),
 )
 
+#: The caching-allocator family: both PyTorch baselines and a GMLake whose
+#: low stitch thresholds make the random workloads stitch often.
+CACHING_FAMILY = {
+    "torch2.0": lambda device: CachingAllocator(device, torch20_config()),
+    "torch2.3": lambda device: CachingAllocator(device, torch23_config()),
+    "gmlake-stitching": lambda device: GMLakeAllocator(
+        device, GMLakeConfig(frag_limit=4 * MIB, min_stitch_request=4 * MIB)
+    ),
+}
+
 
 class TestCachingAllocatorConfig:
     def test_round_size_minimum(self):
@@ -173,22 +183,34 @@ class TestCachingAllocator:
         assert allocator.stats.peak_reserved >= 64 * MIB
 
     @pytest.mark.parametrize("capacity", [512 * GIB, 96 * MIB], ids=["roomy", "small"])
+    @pytest.mark.parametrize("make", CACHING_FAMILY.values(), ids=CACHING_FAMILY.keys())
     @given(st.lists(st.tuples(SIZES, st.booleans()), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
-    def test_invariants_under_random_workload(self, capacity, operations):
+    def test_invariants_under_random_workload(self, make, capacity, operations):
         """Reserved covers allocated; free/alloc bookkeeping never corrupts.
 
         On the small device OOMs reach ``release_cached_segments``; the
         reserved counter must still equal the segment sizes and the device.
+        Every segment stays tiled by its blocks, with the end-offset map
+        mirroring the start-offset one and no two free blocks adjacent.
         """
         device = Device(name="prop", capacity=capacity)
-        allocator = CachingAllocator(device)
+        allocator = make(device)
         live: list[int] = []
 
         def check():
             segments = sum(segment.size for segment in allocator.segments())
             assert allocator.reserved_bytes == segments == device.in_use
             assert allocator.allocated_bytes <= allocator.reserved_bytes
+            for segment in allocator.segments():
+                blocks = [segment.blocks[offset] for offset in sorted(segment.blocks)]
+                assert all(block.offset == offset for offset, block in segment.blocks.items())
+                assert blocks[0].offset == 0 and blocks[-1].end == segment.size
+                for left, right in zip(blocks, blocks[1:]):
+                    assert left.end == right.offset
+                    assert not (left.free and right.free), "free neighbours left unmerged"
+                assert segment.ends.keys() == {block.end for block in blocks}
+                assert all(segment.ends[block.end] is block for block in blocks)
 
         for index, (size, should_free) in enumerate(operations):
             try:

@@ -33,9 +33,18 @@ import pytest
 
 from repro.allocators.native import NativeAllocator
 from repro.core.columns import ALLOC, FREE, KINDS, TraceColumns
-from repro.core.events import EventKind, Phase, PhaseKind, TensorCategory, TraceEvent
+from repro.core.events import (
+    EventKind,
+    MemoryRequest,
+    Phase,
+    PhaseKind,
+    TensorCategory,
+    TraceEvent,
+    pair_events,
+)
 from repro.gpu.device import GIB, Device
 from repro.simulator.replay import replay_trace
+from repro.simulator.runner import NO_CACHE, default_allocator_lineup, run_workload
 from repro.timeline.simulator import (
     KIND_NAMES,
     TimelineSimulator,
@@ -304,6 +313,106 @@ def test_pairing_accepts_generator_traces():
     num_frees = pairing.free_pos.shape[0]
     assert num_allocs == trace.num_requests
     assert num_frees + pairing.survivor_ordinals.shape[0] == num_allocs
+
+
+# ---------------------------------------------------------------------- #
+# Pairing: column pairing vs pair_events vs a reference loop over objects
+# ---------------------------------------------------------------------- #
+def _reference_pairing(events: list[TraceEvent], end_of_trace: int) -> list[MemoryRequest]:
+    """The object-walking pairing loop the column implementation replaced."""
+    last_phase = max(events, key=lambda e: (e.time, e.phase.index)).phase
+    open_allocs: dict[int, TraceEvent] = {}
+    requests = []
+    for event in events:
+        if event.is_alloc():
+            open_allocs[event.req_id] = event
+            continue
+        alloc = open_allocs.pop(event.req_id)
+        requests.append(
+            MemoryRequest(
+                req_id=alloc.req_id, size=alloc.size, alloc_time=alloc.time,
+                free_time=event.time, alloc_phase=alloc.phase, free_phase=event.phase,
+                dyn=alloc.dyn, alloc_module=alloc.module,
+                free_module=event.module or alloc.module,
+                category=alloc.category, tag=alloc.tag,
+            )
+        )
+    for alloc in open_allocs.values():
+        requests.append(
+            MemoryRequest(
+                req_id=alloc.req_id, size=alloc.size, alloc_time=alloc.time,
+                free_time=max(end_of_trace, alloc.time + 1), alloc_phase=alloc.phase,
+                free_phase=last_phase, dyn=alloc.dyn, alloc_module=alloc.module,
+                free_module=alloc.module, category=alloc.category, tag=alloc.tag,
+            )
+        )
+    requests.sort(key=lambda m: (m.alloc_time, m.req_id))
+    return requests
+
+
+def _columns_only(trace: Trace) -> Trace:
+    """A twin of ``trace`` that has never materialized its event objects."""
+    return Trace(
+        metadata=trace.metadata,
+        phases=trace.phases,
+        module_spans=trace.module_spans,
+        columns=trace.columns,
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture", ["dense_trace", "moe_trace", "recompute_trace", "comm_heavy_trace"]
+)
+def test_column_pairing_matches_pair_events(fixture, request):
+    trace = request.getfixturevalue(fixture)
+    twin = _columns_only(trace)
+    requests = twin.to_requests()
+    assert twin._events is None
+    end = trace.end_time()
+    assert requests == pair_events(trace.events, end_of_trace=end)
+    assert requests == _reference_pairing(trace.events, end)
+    # An event-built trace needs no phase table: its events carry the phases.
+    assert Trace(events=trace.events).to_requests() == requests
+    # Field by field, not just by equality (Phase compares by index only).
+    reference = _reference_pairing(trace.events, end)
+    assert [
+        (r.alloc_phase.kind, r.free_phase.kind, r.alloc_module, r.free_module, r.tag)
+        for r in requests
+    ] == [
+        (r.alloc_phase.kind, r.free_phase.kind, r.alloc_module, r.free_module, r.tag)
+        for r in reference
+    ]
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        (
+            [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.ALLOC, 1, 256, 1)],
+            "request 1 allocated twice without a free",
+        ),
+        (
+            [_event(EventKind.ALLOC, 1, 256, 0), _event(EventKind.FREE, 2, 256, 1)],
+            "free of unknown request 2",
+        ),
+    ],
+    ids=["double-alloc", "unknown-free"],
+)
+def test_column_pairing_raises_like_pair_events(events, message):
+    with pytest.raises(ValueError, match=message):
+        pair_events(events)
+    columns_only = Trace(phases=[_phase()], columns=TraceColumns.from_events(events))
+    with pytest.raises(ValueError, match=message):
+        columns_only.to_requests()
+
+
+@pytest.mark.parametrize("allocator", default_allocator_lineup())
+def test_lineup_run_never_materializes_events(allocator, tiny_moe_config):
+    """Profiling, planning and replay all read the columns."""
+    trace = TraceGenerator(tiny_moe_config, seed=3).generate()
+    run = run_workload(tiny_moe_config, allocator, trace=trace, cache=NO_CACHE)
+    assert run.replay.events_replayed == trace.num_events
+    assert trace._events is None
 
 
 # ---------------------------------------------------------------------- #
